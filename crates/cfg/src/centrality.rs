@@ -54,14 +54,112 @@ pub struct CentralityFactors {
 impl CentralityFactors {
     /// Computes betweenness and closeness for every node of `cfg`.
     ///
-    /// Runs Brandes' algorithm (with an absolute-count accumulator for the
-    /// paper's `Δ(v)/Δ(m)` ratio) in `O(V·E)` plus one BFS per node for
-    /// closeness.
+    /// One fused Brandes pass per source over the cached
+    /// [`Cfg::csr_adjacency`], `O(V·E)` in total: the BFS yields the
+    /// path counts, the shortest-path DAG and the distances, so closeness
+    /// comes from the same traversal as betweenness. Buffers are reused
+    /// across sources, the BFS `order` doubles as the queue, and each
+    /// node's DAG children are recorded during the forward pass so the
+    /// backward pass visits DAG edges only.
+    ///
+    /// Bit-identical to [`betweenness_ratio`] and [`closeness`]: neighbors
+    /// are visited in the same order and children are appended in neighbor
+    /// order, so every `f64` addition happens in the same sequence (per
+    /// node `through[v]` and the global path total included), and
+    /// closeness sums integer distances.
     pub fn compute(cfg: &Cfg) -> Self {
         let _span = soteria_telemetry::span("cfg.centrality");
+        const UNSEEN: u32 = u32::MAX;
+        let adj = cfg.csr_adjacency();
+        let n = adj.node_count();
+        let mut through = vec![0.0f64; n];
+        let mut closeness = vec![0.0f64; n];
+        let mut total_paths = 0.0f64;
+
+        // Scratch reused across sources; only visited entries are reset.
+        // `p` needs no reset: every visited node's entry is written before
+        // it is read.
+        let mut dist: Vec<u32> = vec![UNSEEN; n];
+        let mut sigma: Vec<f64> = vec![0.0; n];
+        let mut p: Vec<f64> = vec![0.0; n];
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        // Shortest-path-DAG children of `order[i]` are
+        // `children[child_offsets[i]..child_offsets[i + 1]]`.
+        let mut children: Vec<u32> = Vec::new();
+        let mut child_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+
+        for s in 0..n {
+            order.clear();
+            children.clear();
+            child_offsets.clear();
+            child_offsets.push(0);
+            dist[s] = 0;
+            sigma[s] = 1.0;
+            order.push(s as u32);
+            let mut head = 0;
+            let mut dist_sum = 0u64;
+            // Forward: BFS with `order` as the queue. A node's sigma is
+            // final when it is dequeued (all its parents come earlier).
+            while head < order.len() {
+                let v = order[head] as usize;
+                head += 1;
+                let dv = dist[v];
+                let sv = sigma[v];
+                if v != s {
+                    total_paths += sv;
+                }
+                dist_sum += u64::from(dv);
+                for &w in adj.neighbors(v) {
+                    let wi = w as usize;
+                    let dw = dist[wi];
+                    if dw == UNSEEN {
+                        dist[wi] = dv + 1;
+                        order.push(w);
+                        // The reference's `0.0 + sv`, which is exactly `sv`.
+                        sigma[wi] = sv;
+                        children.push(w);
+                    } else if dw == dv + 1 {
+                        sigma[wi] += sv;
+                        children.push(w);
+                    }
+                }
+                child_offsets.push(children.len() as u32);
+            }
+
+            // Backward, in reverse BFS order (a reverse topological order of
+            // the shortest-path DAG): P(v) = number of DAG paths from v to
+            // any node strictly below it. sigma[v] paths reach v from s and
+            // each extends into P(v) suffixes, every one a shortest s->t
+            // path with v interior. Visited entries are reset on the way.
+            for i in (0..order.len()).rev() {
+                let v = order[i] as usize;
+                let dag = child_offsets[i] as usize..child_offsets[i + 1] as usize;
+                let mut pv = 0.0f64;
+                for &w in &children[dag] {
+                    pv += 1.0 + p[w as usize];
+                }
+                p[v] = pv;
+                if v != s {
+                    through[v] += sigma[v] * pv;
+                }
+                dist[v] = UNSEEN;
+                sigma[v] = 0.0;
+            }
+
+            if dist_sum > 0 {
+                let r = (order.len() - 1) as f64;
+                closeness[s] = (r / (n as f64 - 1.0)) * (r / dist_sum as f64);
+            }
+        }
+
+        if total_paths > 0.0 {
+            for t in &mut through {
+                *t /= total_paths;
+            }
+        }
         CentralityFactors {
-            betweenness: betweenness_ratio(cfg),
-            closeness: closeness(cfg),
+            betweenness: through,
+            closeness,
         }
     }
 
@@ -98,6 +196,10 @@ impl CentralityFactors {
 ///
 /// Returns all zeros for graphs with fewer than 3 nodes (no interior nodes
 /// possible) or no paths.
+///
+/// This is the straightforward reference implementation, kept as the test
+/// oracle for the fused pass in [`CentralityFactors::compute`], which must
+/// match it bit for bit.
 pub fn betweenness_ratio(cfg: &Cfg) -> Vec<f64> {
     let n = cfg.node_count();
     let adj = cfg.undirected_adjacency();
@@ -168,6 +270,10 @@ pub fn betweenness_ratio(cfg: &Cfg) -> Vec<f64> {
 /// Wasserman–Faust correction for disconnected graphs:
 /// `C(v) = (r_v / (n-1)) · (r_v / Σ_u d(v, u))` where `r_v` is the number of
 /// nodes reachable from `v` (excluding `v`). Isolated nodes get 0.
+///
+/// This is the straightforward reference implementation (one BFS per
+/// node), kept as the test oracle for the fused pass in
+/// [`CentralityFactors::compute`], which must match it bit for bit.
 pub fn closeness(cfg: &Cfg) -> Vec<f64> {
     let n = cfg.node_count();
     let mut out = vec![0.0f64; n];

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use soteria_cfg::{
-    centrality, density, dominators, traversal, BlockId, Cfg, CfgBuilder, GraphStats,
+    centrality, density, dominators, traversal, BlockId, CentralityFactors, Cfg, CfgBuilder,
+    GraphStats,
 };
 
 /// Strategy: a random connected-ish digraph with `n` in 1..=max_nodes.
@@ -29,7 +30,113 @@ fn arb_cfg(max_nodes: usize) -> impl Strategy<Value = Cfg> {
     })
 }
 
+/// Strategy: a random digraph with no backbone, so isolated nodes, several
+/// components and self-loops all occur.
+fn arb_sparse_graph(max_nodes: usize) -> impl Strategy<Value = Cfg> {
+    (1..=max_nodes).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..n + 2).prop_map(move |edges| {
+            let mut b = CfgBuilder::new();
+            let ids: Vec<BlockId> = (0..n).map(|i| b.add_block(i as u64 * 16, 1)).collect();
+            for (f, t) in edges {
+                let _ = b.add_edge_idempotent(ids[f], ids[t]);
+            }
+            b.build(ids[0]).expect("non-empty graph builds")
+        })
+    })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `(fused, oracle)` bit patterns for betweenness and for closeness: the
+/// fused pass in `CentralityFactors::compute` must equal the two reference
+/// functions bit for bit.
+fn fused_and_oracle_bits(g: &Cfg) -> [(Vec<u64>, Vec<u64>); 2] {
+    let cf = CentralityFactors::compute(g);
+    [
+        (
+            bits(cf.betweenness_values()),
+            bits(&centrality::betweenness_ratio(g)),
+        ),
+        (bits(cf.closeness_values()), bits(&centrality::closeness(g))),
+    ]
+}
+
+fn graph(n: usize, edges: &[(usize, usize)]) -> Cfg {
+    let mut b = CfgBuilder::new();
+    let ids: Vec<BlockId> = (0..n).map(|i| b.add_block(i as u64 * 16, 1)).collect();
+    for &(f, t) in edges {
+        b.add_edge(ids[f], ids[t]).expect("valid edge");
+    }
+    b.build(ids[0]).expect("non-empty graph builds")
+}
+
+/// Appends a chain of diamonds starting at node `start`, one per entry of
+/// `widths` (a diamond of width `w` multiplies the number of shortest
+/// paths through the chain by `w`), and returns the chain's last node.
+fn push_diamond_chain(edges: &mut Vec<(usize, usize)>, start: usize, widths: &[usize]) -> usize {
+    let mut top = start;
+    for &w in widths {
+        let bottom = top + w + 1;
+        for mid in top + 1..bottom {
+            edges.extend([(top, mid), (mid, bottom)]);
+        }
+        top = bottom;
+    }
+    top
+}
+
+#[test]
+fn fused_centrality_matches_oracles_on_fixed_graphs() {
+    // A small chain of diamonds: path counts double at every diamond.
+    let mut chain = Vec::new();
+    let chain_end = push_diamond_chain(&mut chain, 0, &[2; 8]);
+    // A hub joining a pendant node and three chains of 2-, 3- and 5-wide
+    // diamonds: path counts pass 2^53 with mixed mantissas, so the f64
+    // sums round and their order matters — summing the hub's three DAG
+    // children (seen from the pendant) in reverse changes 42 of the 419
+    // betweenness values.
+    let mut broom = vec![(0, 1)];
+    let mut next = 2;
+    for (diamonds, pattern) in [(30, [3, 3, 3]), (28, [2, 5, 5]), (29, [5, 5, 3])] {
+        let widths: Vec<usize> = (0..diamonds).map(|k| pattern[k % 3]).collect();
+        broom.push((0, next));
+        next = push_diamond_chain(&mut broom, next, &widths) + 1;
+    }
+    let cases = [
+        ("single node", graph(1, &[])),
+        ("isolated node", graph(3, &[(0, 1)])),
+        ("self-loop", graph(3, &[(0, 0), (0, 1), (1, 1), (1, 2)])),
+        (
+            "two components",
+            graph(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+        ),
+        ("diamond chain", graph(chain_end + 1, &chain)),
+        ("diamond broom", graph(next, &broom)),
+    ];
+    for (name, g) in &cases {
+        let [betweenness, closeness] = fused_and_oracle_bits(g);
+        assert_eq!(betweenness.0, betweenness.1, "betweenness of {name}");
+        assert_eq!(closeness.0, closeness.1, "closeness of {name}");
+    }
+}
+
 proptest! {
+    #[test]
+    fn fused_centrality_is_bit_identical_to_oracles(g in arb_cfg(32)) {
+        let [betweenness, closeness] = fused_and_oracle_bits(&g);
+        prop_assert_eq!(betweenness.0, betweenness.1);
+        prop_assert_eq!(closeness.0, closeness.1);
+    }
+
+    #[test]
+    fn fused_centrality_is_bit_identical_on_sparse_graphs(g in arb_sparse_graph(24)) {
+        let [betweenness, closeness] = fused_and_oracle_bits(&g);
+        prop_assert_eq!(betweenness.0, betweenness.1);
+        prop_assert_eq!(closeness.0, closeness.1);
+    }
+
     #[test]
     fn all_nodes_reachable_with_backbone(g in arb_cfg(24)) {
         let r = g.reachable();

@@ -448,7 +448,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 }
 
 /// `serve (--corpus DIR | --model MODEL.json) [--seed N] [--workers N]
-///        [--queue N] [--cache N] [--batch-window-ms N] [--max-batch N]
+///        [--queue N] [--cache N] [--max-batch N]
 ///        [--listen ADDR] [--metrics PATH] [--metrics-interval SECS]
 ///        [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]
 ///        [--brownout F] [--reject-threshold F] [--breaker N]`
@@ -518,7 +518,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         workers: flag_u64(&flags, "workers", 2)? as usize,
         queue_capacity: flag_u64(&flags, "queue", 64)? as usize,
         cache_capacity: flag_u64(&flags, "cache", 1024)? as usize,
-        batch_window: std::time::Duration::from_millis(flag_u64(&flags, "batch-window-ms", 2)?),
         max_batch: flag_u64(&flags, "max-batch", 32)? as usize,
         seed,
         trace_sampling,

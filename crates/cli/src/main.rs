@@ -39,7 +39,7 @@ fn usage() -> &'static str {
      [--metrics PATH] FILE...\n  \
      soteria-cli serve (--artifact FILE | --corpus DIR | --model MODEL) [--seed N]\n    \
      [--backend f32|int8] [--workers N] [--queue N]\n    \
-     [--cache N] [--batch-window-ms N] [--max-batch N] [--listen ADDR] [--metrics PATH]\n    \
+     [--cache N] [--max-batch N] [--listen ADDR] [--metrics PATH]\n    \
      [--metrics-interval SECS] [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]\n    \
      [--brownout F] [--reject-threshold F] [--breaker N]\n  \
      soteria-cli export-artifact --model STATE --out ARTIFACT\n  \

@@ -1831,7 +1831,6 @@ fn run_serve_bench(argv: &[String]) -> Result<(), String> {
             queue_capacity: requests.len().max(1),
             cache_capacity: requests.len().max(1),
             cache_shards: 8,
-            batch_window: std::time::Duration::ZERO,
             max_batch: 32,
             seed,
             trace_sampling: 1.0,
@@ -2278,7 +2277,6 @@ fn run_serve_smoke(argv: &[String]) -> Result<(), String> {
         queue_capacity: 32,
         cache_capacity: 32,
         cache_shards: 4,
-        batch_window: std::time::Duration::from_millis(1),
         max_batch: 8,
         seed,
         trace_sampling,
@@ -2532,7 +2530,6 @@ fn run_overload_bench(argv: &[String]) -> Result<(), String> {
             workers,
             queue_capacity,
             cache_capacity: 0,
-            batch_window: Duration::ZERO,
             max_batch: 8,
             seed,
             admission: AdmissionConfig {

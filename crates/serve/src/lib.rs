@@ -22,9 +22,9 @@
 //! The service seeds each sample's random walks from its *content*
 //! ([`request_seed`]), and every inference stage is row-independent, so a
 //! verdict is a pure function of `(model, bytes, service seed)`. Worker
-//! count, batch window, arrival order, and cache hits are all invisible in
-//! the output — the equivalence suite in the workspace `tests/` directory
-//! asserts this bit-for-bit.
+//! count, batch composition, arrival order, and cache hits are all
+//! invisible in the output — the equivalence suite in the workspace
+//! `tests/` directory asserts this bit-for-bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

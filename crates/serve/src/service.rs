@@ -7,10 +7,10 @@
 //!       │ miss
 //!       ▼
 //!  bounded queue ──▶ worker pool ──▶ batcher ──▶ verdict ──▶ Ticket(wait)
-//!  (try_send:        parse + lift    collects       │
-//!   Full ⇒           + extract,      a window,      └──▶ cache insert
-//!   Rejected)        per-sample      one stacked
-//!                    isolation       CNN pass
+//!  (try_send:        parse + lift    drains the     │
+//!   Full ⇒           + extract,      queue, one     └──▶ cache insert
+//!   Rejected)        per-sample      stacked CNN
+//!                    isolation       pass
 //! ```
 //!
 //! Workers do the embarrassingly parallel front half (container parsing,
@@ -18,7 +18,10 @@
 //! A single batcher thread owns the trained [`Soteria`] and screens queued
 //! samples together — reconstruction errors from one stacked matrix, both
 //! CNNs one forward pass each — so the threaded matmul in `soteria-nn`
-//! amortizes across concurrent requests.
+//! amortizes across concurrent requests. A batch is whatever is already
+//! queued when the batcher looks (up to [`ServeConfig::max_batch`]); it
+//! never waits for stragglers, so a lone request pays no batching delay
+//! and batches grow only when requests actually queue up.
 //!
 //! # Determinism
 //!
@@ -26,7 +29,8 @@
 //! pure function of the submitted content. Combined with the
 //! row-independence of every inference stage, this makes the service's
 //! verdict for given bytes *bit-identical* regardless of worker count,
-//! batch window, arrival order, or whether the answer came from the cache.
+//! batch composition, arrival order, or whether the answer came from the
+//! cache.
 //!
 //! # Overload behavior
 //!
@@ -108,11 +112,9 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Verdict-cache shard count.
     pub cache_shards: usize,
-    /// How long the batcher waits for stragglers after the first queued
-    /// sample of a batch. Zero means "batch only what is already queued" —
-    /// still amortizing under load, never adding latency.
-    pub batch_window: Duration,
-    /// Most samples screened in one stacked pass.
+    /// Most samples screened in one stacked pass. The batcher never waits
+    /// for stragglers: a batch is whatever is already queued, up to this
+    /// many samples.
     pub max_batch: usize,
     /// Service seed folded into every request seed.
     pub seed: u64,
@@ -140,7 +142,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_capacity: 1024,
             cache_shards: 8,
-            batch_window: Duration::from_millis(2),
             max_batch: 32,
             seed: 0,
             trace_sampling: 0.0,
@@ -439,7 +440,6 @@ impl ScreeningService {
             })
             .collect();
 
-        let batch_window = config.batch_window;
         let max_batch = config.max_batch.max(1);
         let batcher_cache = Arc::clone(&cache);
         let batcher_in_flight = Arc::clone(&in_flight);
@@ -452,7 +452,6 @@ impl ScreeningService {
                 batcher_loop(
                     soteria,
                     &infer_rx,
-                    batch_window,
                     max_batch,
                     &batcher_cache,
                     &batcher_in_flight,
@@ -907,14 +906,13 @@ impl EpochModels {
     }
 }
 
-/// Batcher half: own the model fleet, collect a latency-bounded window of
-/// extracted samples, screen them per epoch in stacked passes, reply and
-/// memoize. Each collected window is partitioned by model epoch — a batch
-/// never mixes two models' samples.
+/// Batcher half: own the model fleet, drain whatever extracted samples are
+/// already queued (up to `max_batch`), screen them per epoch in stacked
+/// passes, reply and memoize. Each drained batch is partitioned by model
+/// epoch — a batch never mixes two models' samples.
 fn batcher_loop(
     soteria: Soteria,
     infer_rx: &Receiver<BatchMsg>,
-    window: Duration,
     max_batch: usize,
     cache: &VerdictCache,
     in_flight: &AtomicU64,
@@ -943,8 +941,8 @@ fn batcher_loop(
             break;
         };
         let mut jobs = vec![first];
-        // Whatever is already queued batches for free — amortization with
-        // zero added latency, even with a zero window.
+        // Whatever is already queued batches for free: amortization under
+        // load, never a wait for stragglers.
         while jobs.len() < max_batch {
             if let Some(job) = ready.pop_front() {
                 jobs.push(job);
@@ -953,31 +951,6 @@ fn batcher_loop(
             match infer_rx.try_recv() {
                 Ok(msg) => fleet.accept(msg, &mut ready, cache),
                 Err(_) => break,
-            }
-        }
-        // Then wait out the remaining window for stragglers.
-        if open && !window.is_zero() && jobs.len() < max_batch {
-            let deadline = Instant::now() + window;
-            loop {
-                if jobs.len() >= max_batch {
-                    break;
-                }
-                if let Some(job) = ready.pop_front() {
-                    jobs.push(job);
-                    continue;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match infer_rx.recv_timeout(deadline - now) {
-                    Ok(msg) => fleet.accept(msg, &mut ready, cache),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
             }
         }
         // Partition by epoch so every stacked pass runs one model. The
@@ -1186,7 +1159,6 @@ mod tests {
             queue_capacity: 16,
             cache_capacity: 64,
             cache_shards: 4,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             seed: 9,
             trace_sampling: 1.0,
@@ -1584,7 +1556,6 @@ mod tests {
                 workers: 4,
                 queue_capacity: 2,
                 cache_capacity: 0, // every submit takes the queue path
-                batch_window: Duration::ZERO,
                 ..config()
             },
         );

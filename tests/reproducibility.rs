@@ -5,7 +5,6 @@ use soteria::{Soteria, SoteriaConfig, Verdict};
 use soteria_corpus::{Corpus, CorpusConfig};
 use soteria_features::{ExtractorConfig, FeatureExtractor};
 use soteria_serve::{ScreeningService, ServeConfig};
-use std::time::Duration;
 
 fn config() -> CorpusConfig {
     CorpusConfig {
@@ -70,7 +69,7 @@ fn trained_detector_stats_are_reproducible() {
 fn screening_service_reproduces_a_recorded_run() {
     // Same corpus seed, same training seed, same service seed: two
     // independently-trained systems behind services with *different*
-    // worker counts and batch windows must replay the exact same verdict
+    // worker counts and batch sizes must replay the exact same verdict
     // list. Request seeds derive from content, so neither scheduling nor
     // batching can leak into the answers.
     let corpus = Corpus::generate(&config());
@@ -81,7 +80,7 @@ fn screening_service_reproduces_a_recorded_run() {
         .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
 
-    let run = |workers: usize, window: Duration| -> Vec<Verdict> {
+    let run = |workers: usize, max_batch: usize| -> Vec<Verdict> {
         let soteria =
             Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
         let service = ScreeningService::start(
@@ -89,7 +88,7 @@ fn screening_service_reproduces_a_recorded_run() {
             &ServeConfig {
                 workers,
                 queue_capacity: requests.len().max(1),
-                batch_window: window,
+                max_batch,
                 seed: 99,
                 ..ServeConfig::default()
             },
@@ -103,8 +102,8 @@ fn screening_service_reproduces_a_recorded_run() {
         verdicts
     };
 
-    let recorded = run(1, Duration::ZERO);
-    let replayed = run(3, Duration::from_millis(2));
+    let recorded = run(1, 1);
+    let replayed = run(3, 32);
     assert_eq!(recorded, replayed);
 }
 

@@ -1,6 +1,6 @@
 //! The screening service's core contract, asserted end to end:
 //!
-//! 1. **Equivalence** — for any worker count and batch window, the service
+//! 1. **Equivalence** — for any worker count and batch size, the service
 //!    produces verdicts bit-identical to a sequential
 //!    [`Soteria::screen_binary`] replay with content-derived seeds, and a
 //!    cache hit equals the cold-path verdict it memoized.
@@ -27,14 +27,13 @@ fn trained() -> (Soteria, Corpus, Vec<usize>) {
     (soteria, corpus, split.test)
 }
 
-fn serve_config(workers: usize, window: Duration) -> ServeConfig {
+fn serve_config(workers: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
         workers,
         queue_capacity: 64,
         cache_capacity: 64,
         cache_shards: 4,
-        batch_window: window,
-        max_batch: 4,
+        max_batch,
         seed: 17,
         trace_sampling: 1.0,
         ..ServeConfig::default()
@@ -42,7 +41,7 @@ fn serve_config(workers: usize, window: Duration) -> ServeConfig {
 }
 
 #[test]
-fn any_worker_count_and_window_is_bit_identical_to_sequential() {
+fn any_worker_count_and_batch_size_is_bit_identical_to_sequential() {
     let (mut soteria, corpus, test) = trained();
     let mut requests: Vec<Vec<u8>> = test
         .iter()
@@ -57,8 +56,8 @@ fn any_worker_count_and_window_is_bit_identical_to_sequential() {
         .collect();
 
     for workers in [1usize, 3] {
-        for window_ms in [0u64, 5] {
-            let config = serve_config(workers, Duration::from_millis(window_ms));
+        for max_batch in [1usize, 4] {
+            let config = serve_config(workers, max_batch);
             let service = ScreeningService::start(soteria, &config);
             let tickets: Vec<_> = requests
                 .iter()
@@ -73,7 +72,7 @@ fn any_worker_count_and_window_is_bit_identical_to_sequential() {
             soteria = service.shutdown();
             assert_eq!(
                 got, expected,
-                "service diverged at workers={workers} window={window_ms}ms"
+                "service diverged at workers={workers} max_batch={max_batch}"
             );
         }
     }
@@ -87,7 +86,7 @@ fn cache_hits_equal_the_cold_path_verdicts() {
         .take(5)
         .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
-    let service = ScreeningService::start(soteria, &serve_config(2, Duration::ZERO));
+    let service = ScreeningService::start(soteria, &serve_config(2, 4));
 
     let cold: Vec<Verdict> = requests
         .iter()
@@ -111,6 +110,47 @@ fn cache_hits_equal_the_cold_path_verdicts() {
     assert_eq!(stats.cache.hits, requests.len() as u64);
     assert_eq!(stats.cache.hits + stats.cache.misses, stats.cache.lookups);
     drop(service);
+}
+
+/// The batcher never waits for stragglers: a lone request is screened as
+/// soon as it is extracted, so its in-service batch wait is thread handoff
+/// time (microseconds), not a batching window.
+#[test]
+fn lone_requests_do_not_wait_for_a_batch() {
+    let (soteria, corpus, test) = trained();
+    let scope = soteria_telemetry::scoped();
+    let config = ServeConfig {
+        workers: 1,
+        seed: 17,
+        ..ServeConfig::default()
+    };
+    let service = ScreeningService::start(soteria, &config);
+    let requests = test.iter().take(6);
+    for &i in requests.clone() {
+        let bytes = corpus.samples()[i].binary().to_bytes();
+        let verdict = service
+            .submit(bytes)
+            .into_ticket()
+            .expect("accepted")
+            .wait();
+        assert!(!verdict.is_degraded(), "verdict: {verdict:?}");
+    }
+    let report = soteria_telemetry::snapshot();
+    let wait = report
+        .span("serve.stage.batch_wait")
+        .expect("batch wait recorded");
+    assert_eq!(
+        wait.count,
+        requests.len() as u64,
+        "one batch wait per request"
+    );
+    assert!(
+        wait.p50_ms < 1.0,
+        "a lone request waited {:.3} ms (p50) for a batch",
+        wait.p50_ms
+    );
+    drop(service);
+    drop(scope);
 }
 
 /// Hot swap under concurrent load: every verdict produced while the swap
@@ -151,7 +191,6 @@ fn hot_swap_mid_load_serves_only_whole_model_verdicts() {
         queue_capacity: 256,
         cache_capacity: 64,
         cache_shards: 4,
-        batch_window: Duration::from_millis(1),
         max_batch: 4,
         seed: 17,
         ..ServeConfig::default()
@@ -252,7 +291,6 @@ fn concurrent_mixed_load_resolves_every_submission() {
         queue_capacity: 4,
         cache_capacity: 32,
         cache_shards: 4,
-        batch_window: Duration::from_millis(1),
         max_batch: 4,
         seed: 23,
         trace_sampling: 0.25,

@@ -60,7 +60,6 @@ fn chaos_overload_reaches_exactly_one_outcome_per_request() {
         workers: 2,
         queue_capacity: 8,
         cache_capacity: 0,
-        batch_window: Duration::ZERO,
         max_batch: 4,
         seed: 29,
         admission: AdmissionConfig {
@@ -213,7 +212,6 @@ fn brownout_preserves_adversarial_verdicts_bit_identically() {
         queue_capacity: 16,
         cache_capacity: 16,
         cache_shards: 2,
-        batch_window: Duration::ZERO,
         max_batch: 4,
         seed: 29,
         admission: AdmissionConfig {
@@ -263,7 +261,6 @@ fn shutdown_with_expired_inflight_requests_drains_cleanly() {
         workers: 2,
         queue_capacity: 32,
         cache_capacity: 0,
-        batch_window: Duration::from_millis(5),
         max_batch: 4,
         seed: 29,
         admission: AdmissionConfig {
